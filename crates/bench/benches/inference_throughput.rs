@@ -78,14 +78,15 @@ fn score_ctx_batched(
     cluster: &Cluster,
     cands: &[Vec<u32>],
 ) -> f64 {
-    let ctx = EncodeContext::new(plan, cluster, &FeatureMask::all());
+    let ir = plan.validate().expect("benchmark plan seals");
+    let ctx = EncodeContext::with_ir(plan, &ir, cluster, &FeatureMask::all());
     let mut pqp = ParallelQueryPlan::new(plan.clone());
     let graphs: Vec<_> = cands
         .iter()
         .map(|cand| {
             pqp.parallelism.clone_from(cand);
             pqp.reset_partitioning();
-            ctx.encode(&pqp, cluster, ChainingMode::Auto)
+            ctx.encode_sealed(&pqp, &ir, cluster, ChainingMode::Auto)
         })
         .collect();
     model
@@ -111,14 +112,15 @@ fn bench_single(c: &mut Criterion) {
 fn bench_batch(c: &mut Criterion) {
     let (plan, cluster) = fixture();
     let cands = candidates(&plan, 64);
-    let ctx = EncodeContext::new(&plan, &cluster, &FeatureMask::all());
+    let ir = plan.validate().expect("benchmark plan seals");
+    let ctx = EncodeContext::with_ir(&plan, &ir, &cluster, &FeatureMask::all());
     let mut pqp = ParallelQueryPlan::new(plan.clone());
     let graphs: Vec<_> = cands
         .iter()
         .map(|cand| {
             pqp.parallelism.clone_from(cand);
             pqp.reset_partitioning();
-            ctx.encode(&pqp, &cluster, ChainingMode::Auto)
+            ctx.encode_sealed(&pqp, &ir, &cluster, ChainingMode::Auto)
         })
         .collect();
     let model = ZeroTuneModel::new(ModelConfig::default());

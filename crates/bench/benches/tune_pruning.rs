@@ -19,7 +19,7 @@
 //! low-parallelism plans past their utilization ceiling.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use zt_core::bounds::{analyze, BoundsConfig};
+use zt_core::bounds::{analyze_with, BoundsConfig};
 use zt_core::model::{ModelConfig, ZeroTuneModel};
 use zt_core::optimizer::{tune, OptimizerConfig, SearchSpace};
 use zt_dspsim::cluster::{Cluster, ClusterType};
@@ -97,10 +97,11 @@ fn bench_lattice_exhaustive(c: &mut Criterion) {
 fn bench_analyze(c: &mut Criterion) {
     let cl = cluster();
     let pqp = ParallelQueryPlan::with_parallelism(spike_detection(RATE), vec![4; 4]);
+    let ir = pqp.plan.validate().expect("benchmark plan seals");
     let bcfg = BoundsConfig::default();
     c.bench_function("bounds_analyze_spike", |b| {
         b.iter(|| {
-            let report = analyze(&pqp, &cl, &bcfg);
+            let report = analyze_with(&pqp, &ir, &cl, &bcfg);
             std::hint::black_box(report.utilization.hi)
         });
     });

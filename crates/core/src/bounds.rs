@@ -2,7 +2,7 @@
 //! cost bounds without executing the simulator.
 //!
 //! From a [`ParallelQueryPlan`] + [`Cluster`] + parallelism assignment
-//! alone, [`analyze`] derives *sound* lower/upper bounds on per-operator
+//! alone, [`analyze_with`] derives *sound* lower/upper bounds on per-operator
 //! arrival rate, service demand, utilization and end-to-end
 //! latency/throughput. The abstract domain is the closed interval
 //! `[lo, hi] ⊂ [0, ∞]`; the transfer functions mirror the steady-state
@@ -20,7 +20,7 @@
 //! 1. The utilization interval at the offered rate is
 //!    `[profile(skew off), profile(skew on)]` — the upper endpoint is
 //!    *bitwise* the solver's `bottleneck_utilization` because it calls the
-//!    very same [`work_profile`] the solver calls.
+//!    very same [`work_profile_with`] the solver calls.
 //! 2. The solver's throttle loop converges after a single adjustment
 //!    (utilization is sub-linear in the throttle: every rate scales at
 //!    most linearly and window/service terms are monotone), so the
@@ -52,7 +52,7 @@
 
 use serde::{Deserialize, Serialize};
 use zt_dspsim::analytical::{
-    propagate_with, work_profile_with, Rates, SimConfig, SkewMode, CHAINED_HOP_MS,
+    join_windows, propagate_with, work_profile_with, Rates, SimConfig, SkewMode, CHAINED_HOP_MS,
     EXCHANGE_OVERHEAD_MS, INFLIGHT_WAIT_CAP_MS, NET_UTIL_CAP, RHO_CAP,
 };
 use zt_dspsim::cluster::Cluster;
@@ -283,8 +283,8 @@ struct IntervalProfile {
     inst_work_per_s: Vec<Interval>,
 }
 
-/// Interval counterpart of the solver's `work_profile`, evaluated over the
-/// per-operator rate envelope `[rates_lo, rates_hi]`. The lower endpoints
+/// Interval counterpart of the solver's `work_profile_with`, evaluated over
+/// the per-operator rate envelope `[rates_lo, rates_hi]`. The lower endpoints
 /// assume a perfectly balanced partitioner (skew 1), the upper apply the
 /// cost model's hash-skew multiplier — so the result brackets both the
 /// analytical solver and the (skew-free) discrete-event engine.
@@ -328,10 +328,8 @@ fn interval_profile(
                 let up = ir.upstream(id);
                 let l = up.first().map_or(0, |u| u.idx());
                 let r = up.get(1).map_or(0, |u| u.idx());
-                let wl_lo = j.window.tuples_per_window(rates_lo.output[l] / p);
-                let wr_lo = j.window.tuples_per_window(rates_lo.output[r] / p);
-                let wl_hi = j.window.tuples_per_window(rates_hi.output[l] / p);
-                let wr_hi = j.window.tuples_per_window(rates_hi.output[r] / p);
+                let (wl_lo, wr_lo) = join_windows(j, rates_lo.output[l], rates_lo.output[r], p);
+                let (wl_hi, wr_hi) = join_windows(j, rates_hi.output[l], rates_hi.output[r], p);
                 // The solver divides by max(in_l + in_r, 1e-9): at (near-)
                 // zero input the average collapses to ~0, not to a window
                 // population, so the lower envelope must drop to 0 there.
@@ -448,22 +446,12 @@ fn scale_for(bottleneck: f64, target: f64) -> f64 {
     }
 }
 
-/// Statically derive sound metric brackets for one deployment.
+/// Statically derive sound metric brackets for one deployment of the
+/// sealed plan `ir`.
 ///
 /// Purely analytical — no simulator execution, no RNG; cost is a handful
-/// of `O(ops × edges)` profile evaluations. Seals the plan into a
-/// [`PlanIr`]; hot loops that evaluate many candidates over the same
-/// logical plan should seal once and call [`analyze_with`].
-pub fn analyze(pqp: &ParallelQueryPlan, cluster: &Cluster, cfg: &BoundsConfig) -> BoundsReport {
-    let ir = pqp
-        .plan
-        .validate()
-        .expect("analyze() requires a valid plan");
-    analyze_with(pqp, &ir, cluster, cfg)
-}
-
-/// [`analyze`] over a pre-sealed [`PlanIr`] (no re-validation, zero-alloc
-/// topology lookups in the transfer functions).
+/// of `O(ops × edges)` profile evaluations with zero-alloc topology
+/// lookups. One IR serves every deployment of the same logical plan.
 #[allow(clippy::too_many_lines)]
 pub fn analyze_with(
     pqp: &ParallelQueryPlan,
@@ -471,7 +459,7 @@ pub fn analyze_with(
     cluster: &Cluster,
     cfg: &BoundsConfig,
 ) -> BoundsReport {
-    debug_assert!(pqp.validate().is_ok(), "analyze() requires a valid PQP");
+    debug_assert!(pqp.validate().is_ok(), "bounds require a valid PQP");
     let _span = zt_telemetry::span("bounds.analyze");
     zt_telemetry::counter_add("bounds.analyses", 1);
     let plan = &pqp.plan;
@@ -924,8 +912,13 @@ mod tests {
         Cluster::homogeneous(ClusterType::M510, 4, 10.0)
     }
 
+    fn bounds_of(pqp: &ParallelQueryPlan, cluster: &Cluster, cfg: &BoundsConfig) -> BoundsReport {
+        let ir = pqp.plan.validate().expect("test plan seals");
+        analyze_with(pqp, &ir, cluster, cfg)
+    }
+
     fn brackets_sim(pqp: &ParallelQueryPlan) {
-        let report = analyze(pqp, &cluster(), &BoundsConfig::default());
+        let report = bounds_of(pqp, &cluster(), &BoundsConfig::default());
         let m = simulate_core(pqp, &cluster(), &SimConfig::noiseless());
         assert!(report.is_wellformed(), "{report:?}");
         assert!(
@@ -966,7 +959,7 @@ mod tests {
         // The skewed utilization endpoint and the derived throttle are
         // bitwise the solver's values (shared transfer functions).
         let q = pqp(5_000_000.0, 2);
-        let report = analyze(&q, &cluster(), &BoundsConfig::default());
+        let report = bounds_of(&q, &cluster(), &BoundsConfig::default());
         let m = simulate_core(&q, &cluster(), &SimConfig::noiseless());
         assert_eq!(report.utilization.hi, m.bottleneck_utilization);
         assert_eq!(report.backpressure_scale.lo, m.backpressure_scale);
@@ -975,10 +968,10 @@ mod tests {
 
     #[test]
     fn feasibility_classification() {
-        let low = analyze(&pqp(100.0, 2), &cluster(), &BoundsConfig::default());
+        let low = bounds_of(&pqp(100.0, 2), &cluster(), &BoundsConfig::default());
         assert!(low.definitely_feasible());
         assert!(!low.infeasible());
-        let high = analyze(&pqp(50_000_000.0, 1), &cluster(), &BoundsConfig::default());
+        let high = bounds_of(&pqp(50_000_000.0, 1), &cluster(), &BoundsConfig::default());
         assert!(high.infeasible());
         assert!(high.definitely_backpressured());
     }
@@ -987,9 +980,9 @@ mod tests {
     fn prune_mask_drops_infeasible_keeps_feasible() {
         let cfg = BoundsConfig::default();
         let reports = vec![
-            analyze(&pqp(50_000_000.0, 1), &cluster(), &cfg), // infeasible
-            analyze(&pqp(50_000_000.0, 16), &cluster(), &cfg),
-            analyze(&pqp(100.0, 2), &cluster(), &cfg),
+            bounds_of(&pqp(50_000_000.0, 1), &cluster(), &cfg), // infeasible
+            bounds_of(&pqp(50_000_000.0, 16), &cluster(), &cfg),
+            bounds_of(&pqp(100.0, 2), &cluster(), &cfg),
         ];
         let keep = prune_mask(&reports);
         assert!(!keep[0]);
@@ -1000,8 +993,8 @@ mod tests {
     fn prune_mask_never_empties_the_set() {
         let cfg = BoundsConfig::default();
         let reports = vec![
-            analyze(&pqp(500_000_000.0, 1), &cluster(), &cfg),
-            analyze(&pqp(500_000_000.0, 2), &cluster(), &cfg),
+            bounds_of(&pqp(500_000_000.0, 1), &cluster(), &cfg),
+            bounds_of(&pqp(500_000_000.0, 2), &cluster(), &cfg),
         ];
         assert!(reports.iter().all(BoundsReport::infeasible));
         assert_eq!(prune_mask(&reports), vec![true, true]);
@@ -1010,7 +1003,7 @@ mod tests {
     #[test]
     fn single_sink_per_sink_bracket_equals_headline() {
         let q = pqp(10_000.0, 2);
-        let report = analyze(&q, &cluster(), &BoundsConfig::default());
+        let report = bounds_of(&q, &cluster(), &BoundsConfig::default());
         assert_eq!(report.latency_per_sink_ms, vec![report.latency_ms]);
     }
 
@@ -1019,7 +1012,7 @@ mod tests {
         let plan = zt_query::benchmarks::smart_grid_combined(5_000.0);
         let n = plan.num_ops();
         let q = ParallelQueryPlan::with_parallelism(plan, vec![2; n]);
-        let report = analyze(&q, &cluster(), &BoundsConfig::default());
+        let report = bounds_of(&q, &cluster(), &BoundsConfig::default());
         let m = simulate_core(&q, &cluster(), &SimConfig::noiseless());
         assert!(report.is_wellformed(), "{report:?}");
         assert_eq!(report.latency_per_sink_ms.len(), 2);
@@ -1032,18 +1025,6 @@ mod tests {
         {
             assert!(iv.contains(l), "per-sink latency {l} outside {iv:?}");
         }
-    }
-
-    #[test]
-    fn analyze_with_matches_sealing_wrapper() {
-        let q = pqp(5_000_000.0, 2);
-        let ir = q.plan.validate().unwrap();
-        let a = analyze(&q, &cluster(), &BoundsConfig::default());
-        let b = analyze_with(&q, &ir, &cluster(), &BoundsConfig::default());
-        assert_eq!(a.utilization, b.utilization);
-        assert_eq!(a.backpressure_scale, b.backpressure_scale);
-        assert_eq!(a.latency_ms, b.latency_ms);
-        assert_eq!(a.pipeline_ms, b.pipeline_ms);
     }
 
     #[test]

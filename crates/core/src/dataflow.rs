@@ -5,10 +5,11 @@
 //! consume:
 //!
 //! 1. **Rate/width propagation** ([`RateAnalysis`]) — per-edge brackets
-//!    `[lo, hi]` on the *unthrottled offered* tuple rate and tuple width,
-//!    mirroring the analytical model's `propagate_with` transfer exactly
-//!    when a deployment is given (point intervals), and hulling over all
-//!    parallelism degrees when only a logical plan is known.
+//!    `[lo, hi]` on the *unthrottled offered* tuple rate and tuple width.
+//!    Every endpoint is computed by the analytical model's own
+//!    `output_rate` transfer, so with a deployment the facts are point
+//!    intervals equal bit for bit to `propagate_with(.., 1.0)`; with only
+//!    a logical plan they hull over all parallelism degrees.
 //! 2. **Key-cardinality & partitioning-property flow** ([`KeyAnalysis`])
 //!    — an upper bound on distinct keys in flight and a flat lattice of
 //!    distribution properties (unreached / hash-on-key / arbitrary).
@@ -24,7 +25,7 @@
 //! and the optimizer's ZT704 lattice capping are derived from these fact
 //! maps; `explain_dataflow` renders them per edge.
 
-use zt_dspsim::analytical::NET_UTIL_CAP;
+use zt_dspsim::analytical::{output_rate, NET_UTIL_CAP};
 use zt_dspsim::cluster::Cluster;
 use zt_query::{
     DataType, LogicalPlan, OpId, OperatorKind, ParallelQueryPlan, Partitioning, PlanIr,
@@ -246,12 +247,13 @@ impl Domain for RateFact {
     }
 }
 
-/// Rate/width propagation. With a deployment (`pqp: Some`), parallelism
-/// is pinned to each operator's *effective* degree and the transfer
-/// reproduces the analytical model's `propagate_with` output exactly
-/// (point intervals). Without one, join window contents are bracketed
-/// between the degree-1 maximum and the degree-∞ floor (one tuple per
-/// time window, `length` tuples per count window).
+/// Rate/width propagation through `zt_dspsim::analytical::output_rate`.
+/// With a deployment (`pqp: Some`), parallelism is pinned to each
+/// operator's *effective* degree, so each fact is the point interval
+/// `[r, r]` with `r` bitwise `propagate_with(pqp, ir, 1.0).output[op]`.
+/// Without one, join window contents are bracketed between the degree-1
+/// maximum and the degree-∞ floor (one tuple per time window, `length`
+/// tuples per count window), the one bound computed here.
 pub struct RateAnalysis<'a> {
     pub pqp: Option<&'a ParallelQueryPlan>,
 }
@@ -275,51 +277,35 @@ impl Analysis for RateAnalysis<'_> {
         _edges: &[u32],
         inputs: &[RateFact],
     ) -> RateFact {
-        let sum_in = inputs
-            .iter()
-            .filter(|f| !iv_is_empty(f.rate))
-            .fold(Interval::ZERO, |acc, f| acc + f.rate);
-        let rate = match &plan.op(id).kind {
-            OperatorKind::Source(s) => Interval::point(s.event_rate),
-            OperatorKind::Filter(f) => sum_in.scale(f.selectivity),
-            OperatorKind::Aggregate(a) => sum_in.scale(a.selectivity * a.window.overlap_factor()),
-            OperatorKind::Join(j) => {
-                let l = inputs.first().map_or(Interval::ZERO, |f| f.rate);
-                let r = inputs.get(1).map_or(Interval::ZERO, |f| f.rate);
-                let (l, r) = (
-                    if iv_is_empty(l) { Interval::ZERO } else { l },
-                    if iv_is_empty(r) { Interval::ZERO } else { r },
-                );
-                match self
-                    .pqp
-                    .map(|p| f64::from(p.effective_parallelism_of(id).max(1)))
-                {
-                    Some(p) => {
-                        // Exactly the analytical model's transfer: each of
-                        // the p instances holds a window over its share of
-                        // the other side's stream.
-                        let lo = j.selectivity
-                            * (l.lo * j.window.tuples_per_window(r.lo / p)
-                                + r.lo * j.window.tuples_per_window(l.lo / p));
-                        let hi = j.selectivity
-                            * (l.hi * j.window.tuples_per_window(r.hi / p)
-                                + r.hi * j.window.tuples_per_window(l.hi / p));
-                        Interval::new(lo, hi)
-                    }
-                    None => {
-                        // Hull over every degree p ≥ 1: window contents
-                        // shrink monotonically in p, so the bracket is
-                        // [p → ∞ floor, p = 1 maximum].
-                        let lo = j.selectivity
-                            * (l.lo * window_floor(&j.window) + r.lo * window_floor(&j.window));
-                        let hi = j.selectivity
-                            * (l.hi * j.window.tuples_per_window(r.hi)
-                                + r.hi * j.window.tuples_per_window(l.hi));
-                        Interval::new(lo, hi)
-                    }
-                }
+        let kind = &plan.op(id).kind;
+        let reached = |f: &RateFact| {
+            if iv_is_empty(f.rate) {
+                Interval::ZERO
+            } else {
+                f.rate
             }
-            OperatorKind::Sink(_) => sum_in,
+        };
+        let input = match kind {
+            OperatorKind::Source(s) => Interval::point(s.event_rate),
+            _ => inputs
+                .iter()
+                .fold(Interval::ZERO, |acc, f| acc + reached(f)),
+        };
+        let l = inputs.first().map_or(Interval::ZERO, reached);
+        let r = inputs.get(1).map_or(Interval::ZERO, reached);
+        let p = self.pqp.map_or(1.0, |pqp| {
+            f64::from(pqp.effective_parallelism_of(id).max(1))
+        });
+        let hi = output_rate(kind, input.hi, (l.hi, r.hi), p);
+        let rate = match kind {
+            // Plan-level join: window contents shrink monotonically in the
+            // degree, so the hull over every p ≥ 1 runs from the p → ∞
+            // window floor up to the p = 1 maximum.
+            OperatorKind::Join(j) if self.pqp.is_none() => Interval::new(
+                j.selectivity * (l.lo * window_floor(&j.window) + r.lo * window_floor(&j.window)),
+                hi,
+            ),
+            _ => Interval::new(output_rate(kind, input.lo, (l.lo, r.lo), p), hi),
         };
         #[allow(clippy::cast_precision_loss)]
         let width = Interval::point(ir.output_schemas()[id.idx()].bytes() as f64);

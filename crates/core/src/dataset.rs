@@ -23,7 +23,7 @@ use zt_query::{
 };
 
 use crate::features::FeatureMask;
-use crate::graph::{encode_with_deployment, GraphEncoding};
+use crate::graph::{EncodeContext, GraphEncoding};
 use crate::optisample::EnumerationStrategy;
 
 /// Metadata recorded per sample for experiment slicing.
@@ -247,6 +247,10 @@ fn meta_of(
 /// Generate one labeled sample. Deployments exceeding the measurement
 /// timeout are resampled (a bounded number of times) like timed-out runs
 /// on a real testbed.
+///
+/// A one-shot entry point (the `perfbench` harness imports it): each
+/// attempt seals its plan once to encode it, and `simulate` seals it once
+/// more inside.
 pub fn generate_sample<R: Rng + ?Sized>(
     cfg: &GenConfig,
     structure: QueryStructure,
@@ -266,6 +270,7 @@ pub fn generate_sample<R: Rng + ?Sized>(
         );
         let parallelism = cfg.strategy.assign(&plan, &cluster, rng);
         let pqp = ParallelQueryPlan::with_parallelism(plan, parallelism);
+        let ir = pqp.plan.validate().expect("generated plans are valid");
         // The cached path is bitwise-equivalent: the memo covers only the
         // deterministic solver core, and the noise factors are drawn from
         // `rng` either way.
@@ -273,7 +278,8 @@ pub fn generate_sample<R: Rng + ?Sized>(
             Some(cache) => cache.simulate(&pqp, &cluster, &cfg.sim, rng),
             None => simulate(&pqp, &cluster, &cfg.sim, rng),
         };
-        let graph = encode_with_deployment(&pqp, &cluster, &metrics.deployment, &cfg.mask);
+        let graph = EncodeContext::with_ir(&pqp.plan, &ir, &cluster, &cfg.mask)
+            .encode_with_deployment(&pqp, &cluster, &metrics.deployment);
         let meta = meta_of(structure, &pqp, &cluster, metrics.backpressured());
         let sample = Sample {
             graph,

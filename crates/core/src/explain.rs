@@ -326,8 +326,13 @@ mod tests {
         let plan = zt_query::benchmarks::spike_detection(10_000.0);
         let pqp = zt_query::ParallelQueryPlan::new(plan);
         let cluster = Cluster::homogeneous(ClusterType::M510, 4, 10.0);
-        let report =
-            crate::bounds::analyze(&pqp, &cluster, &crate::bounds::BoundsConfig::default());
+        let ir = pqp.plan.validate().expect("benchmark plan seals");
+        let report = crate::bounds::analyze_with(
+            &pqp,
+            &ir,
+            &cluster,
+            &crate::bounds::BoundsConfig::default(),
+        );
         let no_pred = explain_bounds(&pqp, &report, None);
         assert!(no_pred.contains("bounds:"));
         for op in pqp.plan.ops() {

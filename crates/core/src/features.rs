@@ -232,7 +232,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use zt_dspsim::cluster::{Cluster, ClusterType};
-    use zt_dspsim::placement::{place, ChainingMode};
+    use zt_dspsim::placement::{place_with, ChainingMode};
     use zt_query::{QueryGenerator, QueryStructure};
 
     fn sample_pqp() -> (ParallelQueryPlan, Cluster, Deployment) {
@@ -244,7 +244,8 @@ mod tests {
             .collect();
         let pqp = ParallelQueryPlan::with_parallelism(plan, par);
         let cluster = Cluster::homogeneous(ClusterType::M510, 2, 10.0);
-        let dep = place(&pqp, &cluster, ChainingMode::Auto);
+        let ir = pqp.plan.validate().expect("generated plan seals");
+        let dep = place_with(&pqp, &ir, &cluster, ChainingMode::Auto);
         (pqp, cluster, dep)
     }
 
@@ -352,12 +353,13 @@ mod tests {
     #[test]
     fn parallelism_feature_monotone() {
         let (mut pqp, cluster, _dep) = sample_pqp();
+        let ir = pqp.plan.validate().expect("generated plan seals");
         let ins = pqp.plan.input_schemas();
         let outs = pqp.plan.output_schemas();
         let mut last = -1.0f32;
         for p in [1u32, 4, 16, 64, 128] {
             pqp.set_parallelism(zt_query::OpId(1), p);
-            let dep = place(&pqp, &cluster, ChainingMode::Auto);
+            let dep = place_with(&pqp, &ir, &cluster, ChainingMode::Auto);
             let f = operator_features(
                 &pqp.plan.ops()[1].clone(),
                 &pqp,

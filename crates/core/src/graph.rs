@@ -23,7 +23,7 @@
 
 use serde::{Deserialize, Serialize};
 use zt_dspsim::cluster::Cluster;
-use zt_dspsim::placement::{place, place_with, ChainingMode, Deployment};
+use zt_dspsim::placement::{place_with, ChainingMode, Deployment};
 use zt_query::{LogicalPlan, OperatorKind, ParallelQueryPlan, PlanIr, TupleSchema};
 
 use crate::features::{operator_features, resource_features, FeatureMask};
@@ -103,25 +103,17 @@ impl GraphEncoding {
 ///
 /// The deployment (chaining decisions, instance placement) is computed
 /// here so the *grouping number* and mapping-edge weights reflect what the
-/// scheduler will actually do.
+/// scheduler will actually do. A one-shot entry point: it seals the plan
+/// once and encodes through [`EncodeContext`]. It keeps this bare-plan
+/// signature because the `perfbench` harness imports it.
 pub fn encode(
     pqp: &ParallelQueryPlan,
     cluster: &Cluster,
     chaining: ChainingMode,
     mask: &FeatureMask,
 ) -> GraphEncoding {
-    let dep = place(pqp, cluster, chaining);
-    encode_with_deployment(pqp, cluster, &dep, mask)
-}
-
-/// Encode with an already-computed deployment.
-pub fn encode_with_deployment(
-    pqp: &ParallelQueryPlan,
-    cluster: &Cluster,
-    dep: &Deployment,
-    mask: &FeatureMask,
-) -> GraphEncoding {
-    EncodeContext::new(&pqp.plan, cluster, mask).encode_with_deployment(pqp, cluster, dep)
+    let ir = pqp.plan.validate().expect("encode() requires a valid plan");
+    EncodeContext::with_ir(&pqp.plan, &ir, cluster, mask).encode_sealed(pqp, &ir, cluster, chaining)
 }
 
 /// Parallelism-independent encoding state, computed once per
@@ -144,15 +136,8 @@ pub struct EncodeContext {
 }
 
 impl EncodeContext {
-    /// Seal `plan` into a [`PlanIr`] and build the context. Callers that
-    /// already hold a sealed IR should use [`EncodeContext::with_ir`].
-    pub fn new(plan: &LogicalPlan, cluster: &Cluster, mask: &FeatureMask) -> Self {
-        let ir = plan.validate().expect("validated plan");
-        Self::with_ir(plan, &ir, cluster, mask)
-    }
-
-    /// Build the context from a pre-sealed [`PlanIr`] (schemas, topo order
-    /// and sink are copied out of the IR instead of being recomputed).
+    /// Build the context from the plan's sealed [`PlanIr`] (schemas, topo
+    /// order and sink are copied out of the IR instead of being recomputed).
     pub fn with_ir(plan: &LogicalPlan, ir: &PlanIr, cluster: &Cluster, mask: &FeatureMask) -> Self {
         EncodeContext {
             in_schemas: ir.input_schemas().to_vec(),
@@ -176,18 +161,6 @@ impl EncodeContext {
 
     /// Encode one candidate: places the plan, then re-derives only the
     /// parallelism-dependent parts of the encoding.
-    pub fn encode(
-        &self,
-        pqp: &ParallelQueryPlan,
-        cluster: &Cluster,
-        chaining: ChainingMode,
-    ) -> GraphEncoding {
-        let dep = place(pqp, cluster, chaining);
-        self.encode_with_deployment(pqp, cluster, &dep)
-    }
-
-    /// [`EncodeContext::encode`] over a pre-sealed [`PlanIr`]: placement
-    /// skips re-validating the plan for every candidate.
     pub fn encode_sealed(
         &self,
         pqp: &ParallelQueryPlan,
@@ -388,12 +361,13 @@ mod tests {
         let n = plan.num_ops();
         let cluster = Cluster::homogeneous(ClusterType::M510, 3, 10.0);
         let mask = FeatureMask::all();
-        let ctx = EncodeContext::new(&plan, &cluster, &mask);
+        let ir = plan.validate().unwrap();
+        let ctx = EncodeContext::with_ir(&plan, &ir, &cluster, &mask);
         let mut pqp = ParallelQueryPlan::new(plan.clone());
         for p in [1u32, 2, 7, 16] {
             pqp.parallelism = vec![p; n];
             pqp.reset_partitioning();
-            let cached = ctx.encode(&pqp, &cluster, ChainingMode::Auto);
+            let cached = ctx.encode_sealed(&pqp, &ir, &cluster, ChainingMode::Auto);
             let direct = encode(&pqp, &cluster, ChainingMode::Auto, &mask);
             assert_eq!(cached.data_flow, direct.data_flow);
             assert_eq!(cached.physical, direct.physical);

@@ -81,7 +81,7 @@ pub mod telemetry {
 }
 
 pub use bounds::{
-    analyze, analyze_with, prune_mask, work_floors, BoundsConfig, BoundsReport, Interval, OpBounds,
+    analyze_with, prune_mask, work_floors, BoundsConfig, BoundsReport, Interval, OpBounds,
     WorkFloors,
 };
 pub use certify::{

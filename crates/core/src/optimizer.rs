@@ -352,6 +352,9 @@ struct SearchCounters {
 ///
 /// Degenerate inputs (invalid plan, empty candidate set, exhausted search
 /// budget) return a structured [`TuneError`] instead of panicking.
+///
+/// Takes a bare plan and seals it exactly once (the `perfbench` harness
+/// imports this signature); every candidate reuses that IR.
 pub fn tune<E: CostEstimator + ?Sized>(
     est: &E,
     plan: &LogicalPlan,

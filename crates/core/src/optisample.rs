@@ -123,19 +123,29 @@ impl EnumerationStrategy {
 /// Estimated input rates per operator (Definition 3 applied with noisy
 /// selectivity estimates). `noise_mult` perturbs each selectivity
 /// estimate; pass 1.0-factors for exact estimates.
+///
+/// Walks the plan's edge list in [`LogicalPlan::topo_order`] (the sealed
+/// IR's order) rather than sealing it: `tune` and `generate_sample` have
+/// already sealed the plan once by the time they get here.
 pub fn estimate_input_rates<R: Rng + ?Sized>(
     plan: &LogicalPlan,
     estimate_noise: f64,
     rng: &mut R,
 ) -> Vec<f64> {
-    let ir = plan.validate().expect("validated plan");
+    let order = plan
+        .topo_order()
+        .expect("estimate_input_rates() requires an acyclic plan");
     let n = plan.num_ops();
     let mut input = vec![0f64; n];
     let mut output = vec![0f64; n];
-    for &id in ir.topo_order() {
+    for id in order {
         let i = id.idx();
-        let up = ir.upstream(id);
-        let in_rate: f64 = up.iter().map(|u| output[u.idx()]).sum();
+        let in_rate: f64 = plan
+            .edges()
+            .iter()
+            .filter(|&&(_, d)| d == id)
+            .map(|&(u, _)| output[u.idx()])
+            .sum();
         let noise = if estimate_noise > 0.0 {
             let u1: f64 = rng.gen_range(1e-9..1.0f64);
             let u2: f64 = rng.gen_range(0.0..1.0f64);

@@ -20,7 +20,7 @@
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use zt_query::{OpId, OperatorKind, ParallelQueryPlan, Partitioning, PlanIr, TupleSchema};
+use zt_query::{JoinOp, OpId, OperatorKind, ParallelQueryPlan, Partitioning, PlanIr, TupleSchema};
 
 use crate::cluster::Cluster;
 use crate::costmodel::CostModel;
@@ -151,17 +151,43 @@ pub struct Rates {
     pub edge: Vec<f64>,
 }
 
-/// Propagate rates through the plan at a given source throttle factor.
-///
-/// Seals the plan on every call; hot loops should seal once and use
-/// [`propagate_with`].
-pub fn propagate(pqp: &ParallelQueryPlan, scale: f64) -> Rates {
-    let ir = pqp.plan.validate().expect("validated plan");
-    propagate_with(pqp, &ir, scale)
+/// Expected tuples one join instance holds in its left and right windows,
+/// given each side's total input rate and the join's effective degree
+/// `p`: window contents are per instance (hash co-partitioning splits
+/// each stream `p` ways). The solver, the static bounds and the dataflow
+/// rate facts all read the window populations from here.
+pub fn join_windows(j: &JoinOp, in_l: f64, in_r: f64, p: f64) -> (f64, f64) {
+    (
+        j.window.tuples_per_window(in_l / p),
+        j.window.tuples_per_window(in_r / p),
+    )
 }
 
-/// [`propagate`] over a pre-sealed [`PlanIr`] (no per-call validation or
-/// adjacency allocation).
+/// Matches per second before selectivity: every arriving tuple meets the
+/// whole opposite per-instance window (Def. 5).
+fn join_pairs(j: &JoinOp, in_l: f64, in_r: f64, p: f64) -> f64 {
+    let (wl, wr) = join_windows(j, in_l, in_r, p);
+    in_l * wr + in_r * wl
+}
+
+/// Total output rate (tuples/s) of one operator: the per-operator rate
+/// transfer every rate in the workspace is derived from. `input` is the
+/// summed input rate (a source's own, possibly throttled, event rate),
+/// `sides` the left/right input rates of a join (ignored otherwise) and
+/// `p` the operator's effective degree (only joins depend on it).
+pub fn output_rate(kind: &OperatorKind, input: f64, sides: (f64, f64), p: f64) -> f64 {
+    match kind {
+        OperatorKind::Source(_) | OperatorKind::Sink(_) => input,
+        OperatorKind::Filter(f) => input * f.selectivity,
+        // `sel × |W|` groups fire every emission period; amortized this
+        // is `in × sel × overlap` results/s (see Def. 6).
+        OperatorKind::Aggregate(a) => input * a.selectivity * a.window.overlap_factor(),
+        OperatorKind::Join(j) => j.selectivity * join_pairs(j, sides.0, sides.1, p),
+    }
+}
+
+/// Propagate rates through the sealed plan at a given source throttle
+/// factor.
 pub fn propagate_with(pqp: &ParallelQueryPlan, ir: &PlanIr, scale: f64) -> Rates {
     let plan = &pqp.plan;
     let n = plan.num_ops();
@@ -169,40 +195,17 @@ pub fn propagate_with(pqp: &ParallelQueryPlan, ir: &PlanIr, scale: f64) -> Rates
     let mut output = vec![0f64; n];
     for &id in ir.topo_order() {
         let i = id.idx();
-        let p = pqp.effective_parallelism_of(id).max(1) as f64;
+        let kind = &plan.op(id).kind;
         let up = ir.upstream(id);
-        let in_rate: f64 = up.iter().map(|u| output[u.idx()]).sum();
-        match &plan.op(id).kind {
-            OperatorKind::Source(s) => {
-                input[i] = s.event_rate * scale;
-                output[i] = input[i];
-            }
-            OperatorKind::Filter(f) => {
-                input[i] = in_rate;
-                output[i] = in_rate * f.selectivity;
-            }
-            OperatorKind::Aggregate(a) => {
-                input[i] = in_rate;
-                // `sel × |W|` groups fire every emission period; amortized
-                // this is `in × sel × overlap` results/s (see Def. 6).
-                output[i] = in_rate * a.selectivity * a.window.overlap_factor();
-            }
-            OperatorKind::Join(j) => {
-                let in_l = up.first().map_or(0.0, |u| output[u.idx()]);
-                let in_r = up.get(1).map_or(0.0, |u| output[u.idx()]);
-                input[i] = in_l + in_r;
-                // Stream-join output: every arriving tuple matches
-                // `sel × |W_other|` partners (Def. 5). Window contents are
-                // per instance (hash co-partitioning).
-                let wl = j.window.tuples_per_window(in_l / p);
-                let wr = j.window.tuples_per_window(in_r / p);
-                output[i] = j.selectivity * (in_l * wr + in_r * wl);
-            }
-            OperatorKind::Sink(_) => {
-                input[i] = in_rate;
-                output[i] = in_rate;
-            }
-        }
+        let side = |k: usize| up.get(k).map_or(0.0, |u| output[u.idx()]);
+        let sides = (side(0), side(1));
+        input[i] = match kind {
+            OperatorKind::Source(s) => s.event_rate * scale,
+            OperatorKind::Join(_) => sides.0 + sides.1,
+            _ => up.iter().map(|u| output[u.idx()]).sum(),
+        };
+        let p = pqp.effective_parallelism_of(id).max(1) as f64;
+        output[i] = output_rate(kind, input[i], sides, p);
     }
     let edge = plan.edges().iter().map(|&(u, _)| output[u.idx()]).collect();
     Rates {
@@ -215,22 +218,17 @@ pub fn propagate_with(pqp: &ParallelQueryPlan, ir: &PlanIr, scale: f64) -> Rates
 /// Expected tuples in the *opposite* window of one join instance, averaged
 /// over arrival sides; 0 for non-joins.
 fn join_other_window(pqp: &ParallelQueryPlan, ir: &PlanIr, rates: &Rates, id: OpId) -> f64 {
-    let plan = &pqp.plan;
-    if let OperatorKind::Join(j) = &plan.op(id).kind {
-        let p = pqp.effective_parallelism_of(id).max(1) as f64;
-        let up = ir.upstream(id);
-        let in_l = up.first().map_or(0.0, |u| rates.output[u.idx()]);
-        let in_r = up.get(1).map_or(0.0, |u| rates.output[u.idx()]);
-        let wl = j.window.tuples_per_window(in_l / p);
-        let wr = j.window.tuples_per_window(in_r / p);
-        let total = (in_l + in_r).max(1e-9);
-        (in_l * wr + in_r * wl) / total
-    } else {
-        0.0
-    }
+    let OperatorKind::Join(j) = &pqp.plan.op(id).kind else {
+        return 0.0;
+    };
+    let p = pqp.effective_parallelism_of(id).max(1) as f64;
+    let up = ir.upstream(id);
+    let in_l = up.first().map_or(0.0, |u| rates.output[u.idx()]);
+    let in_r = up.get(1).map_or(0.0, |u| rates.output[u.idx()]);
+    join_pairs(j, in_l, in_r, p) / (in_l + in_r).max(1e-9)
 }
 
-/// Whether [`work_profile`] applies the cost model's hash-skew multiplier
+/// Whether [`work_profile_with`] applies the cost model's hash-skew multiplier
 /// to hash-partitioned operators. [`SkewMode::None`] models a perfectly
 /// balanced partitioner — the lower envelope used by `zt_core::bounds`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -250,38 +248,9 @@ pub struct WorkProfile {
     pub work_us: Vec<f64>,
 }
 
-/// Compute per-instance and per-node utilization for given rates.
-///
-/// Seals the plan on every call; hot loops should seal once and use
-/// [`work_profile_with`].
-#[allow(clippy::too_many_arguments)]
-pub fn work_profile(
-    pqp: &ParallelQueryPlan,
-    cluster: &Cluster,
-    dep: &Deployment,
-    cm: &CostModel,
-    rates: &Rates,
-    in_schemas: &[TupleSchema],
-    out_schemas: &[TupleSchema],
-    skew_mode: SkewMode,
-) -> WorkProfile {
-    let ir = pqp.plan.validate().expect("validated plan");
-    work_profile_with(
-        pqp,
-        &ir,
-        cluster,
-        dep,
-        cm,
-        rates,
-        in_schemas,
-        out_schemas,
-        skew_mode,
-    )
-}
-
-/// [`work_profile`] over a pre-sealed [`PlanIr`]: per-operator exchange
-/// work comes from the IR's O(degree) edge slices instead of scanning the
-/// whole edge list once per operator.
+/// Per-instance and per-node utilization of the sealed plan at the given
+/// rates. Per-operator exchange work comes from the IR's O(degree) edge
+/// slices.
 // The argument list is the solver's full evaluation context; bundling it
 // into a struct would obscure that this *is* the transfer function.
 #[allow(clippy::too_many_arguments)]
@@ -388,6 +357,10 @@ pub fn work_profile_with(
 
 /// Run the analytical model. `rng` drives the measurement noise; pass a
 /// seeded RNG for reproducible labels.
+///
+/// A one-shot entry point: it takes a bare plan and seals it once inside
+/// [`simulate_core`]. It keeps that signature because the `perfbench`
+/// harness imports it.
 pub fn simulate<R: Rng + ?Sized>(
     pqp: &ParallelQueryPlan,
     cluster: &Cluster,
@@ -663,7 +636,8 @@ mod tests {
     #[test]
     fn rates_propagate_with_selectivity() {
         let plan = ParallelQueryPlan::new(linear_plan(1000.0, 0.5));
-        let r = propagate(&plan, 1.0);
+        let ir = plan.plan.validate().unwrap();
+        let r = propagate_with(&plan, &ir, 1.0);
         assert_eq!(r.input[0], 1000.0);
         assert_eq!(r.output[0], 1000.0);
         assert_eq!(r.input[1], 1000.0);
@@ -868,16 +842,5 @@ mod tests {
             .iter()
             .all(|l| l.is_finite() && *l > 0.0));
         assert!(m.throughput > 0.0);
-    }
-
-    #[test]
-    fn propagate_with_matches_sealing_wrapper() {
-        let pqp = pqp(2_000.0, 2);
-        let ir = pqp.plan.validate().unwrap();
-        let a = propagate(&pqp, 1.0);
-        let b = propagate_with(&pqp, &ir, 1.0);
-        assert_eq!(a.input, b.input);
-        assert_eq!(a.output, b.output);
-        assert_eq!(a.edge, b.edge);
     }
 }

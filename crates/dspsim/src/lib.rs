@@ -53,5 +53,5 @@ pub use analytical::{
 pub use cluster::{Cluster, ClusterType, NodeSpec};
 pub use engine::{EngineConfig, EngineMetrics, SinkMetrics};
 pub use noise::NoiseConfig;
-pub use placement::{place, place_with, ChainingMode, Deployment, EdgeExchange};
+pub use placement::{place_with, ChainingMode, Deployment, EdgeExchange};
 pub use simcache::{CacheStats, SimCache};

@@ -128,15 +128,7 @@ impl Deployment {
 pub const AUTO_CHAIN_SLOT_PRESSURE: f64 = 0.9;
 
 /// Compute the deployment of `pqp` on `cluster` under the given chaining
-/// policy. Seals the plan into a [`PlanIr`]; hot loops that already hold a
-/// sealed IR should call [`place_with`] instead.
-pub fn place(pqp: &ParallelQueryPlan, cluster: &Cluster, mode: ChainingMode) -> Deployment {
-    let ir = pqp.plan.validate().expect("validated plan");
-    place_with(pqp, &ir, cluster, mode)
-}
-
-/// [`place`] over a pre-sealed [`PlanIr`] (no re-validation, zero-alloc
-/// topology lookups).
+/// policy, reading the topology from the plan's sealed [`PlanIr`].
 pub fn place_with(
     pqp: &ParallelQueryPlan,
     ir: &PlanIr,
@@ -314,6 +306,10 @@ mod tests {
         SourceOp, TupleSchema, WindowPolicy, WindowSpec,
     };
 
+    fn seal(pqp: &ParallelQueryPlan) -> PlanIr {
+        pqp.plan.validate().expect("test plan seals")
+    }
+
     fn linear_pqp(p: u32) -> ParallelQueryPlan {
         let mut plan = LogicalPlan::new("linear");
         let s = plan.add(OperatorKind::Source(SourceOp {
@@ -345,7 +341,7 @@ mod tests {
     fn always_mode_chains_forward_edges() {
         let pqp = linear_pqp(2);
         let cluster = Cluster::homogeneous(ClusterType::M510, 2, 10.0);
-        let d = place(&pqp, &cluster, ChainingMode::Always);
+        let d = place_with(&pqp, &seal(&pqp), &cluster, ChainingMode::Always);
         // source+filter chained; agg+sink chained; hash edge separates them.
         assert_eq!(d.groups.len(), 2);
         assert_eq!(d.grouping_number(OpId(0)), 2);
@@ -361,7 +357,7 @@ mod tests {
     fn never_mode_keeps_ops_separate() {
         let pqp = linear_pqp(2);
         let cluster = Cluster::homogeneous(ClusterType::M510, 2, 10.0);
-        let d = place(&pqp, &cluster, ChainingMode::Never);
+        let d = place_with(&pqp, &seal(&pqp), &cluster, ChainingMode::Never);
         assert_eq!(d.groups.len(), 4);
         assert!(d.edge_exchange.iter().all(|e| !e.is_chained()));
         assert_eq!(d.grouping_number(OpId(1)), 1);
@@ -370,10 +366,12 @@ mod tests {
     #[test]
     fn auto_mode_fuses_under_slot_pressure() {
         let cluster = Cluster::homogeneous(ClusterType::M510, 2, 10.0); // 16 slots
-        let low = place(&linear_pqp(2), &cluster, ChainingMode::Auto); // 8 instances
+        let low = linear_pqp(2); // 8 instances
+        let low = place_with(&low, &seal(&low), &cluster, ChainingMode::Auto);
         assert!(!low.chained);
         assert_eq!(low.groups.len(), 4);
-        let high = place(&linear_pqp(8), &cluster, ChainingMode::Auto); // 32 instances
+        let high = linear_pqp(8); // 32 instances
+        let high = place_with(&high, &seal(&high), &cluster, ChainingMode::Auto);
         assert!(high.chained);
         assert_eq!(high.groups.len(), 2);
     }
@@ -382,7 +380,7 @@ mod tests {
     fn instances_spread_across_nodes() {
         let pqp = linear_pqp(4);
         let cluster = Cluster::homogeneous(ClusterType::M510, 4, 10.0);
-        let d = place(&pqp, &cluster, ChainingMode::Never);
+        let d = place_with(&pqp, &seal(&pqp), &cluster, ChainingMode::Never);
         let nodes = d.instance_nodes(OpId(1));
         assert_eq!(nodes.len(), 4);
         // interleaved slots: 4 instances land on 4 distinct nodes
@@ -394,7 +392,7 @@ mod tests {
     fn oversubscription_wraps() {
         let pqp = linear_pqp(64);
         let cluster = Cluster::homogeneous(ClusterType::M510, 2, 10.0); // 16 slots
-        let d = place(&pqp, &cluster, ChainingMode::Always);
+        let d = place_with(&pqp, &seal(&pqp), &cluster, ChainingMode::Always);
         assert_eq!(d.instance_nodes(OpId(0)).len(), 64);
         // all instances still map to valid nodes
         assert!(d.instance_nodes(OpId(0)).iter().all(|&n| n < 2));
@@ -405,7 +403,7 @@ mod tests {
         for p in [1u32, 2, 4, 16, 64] {
             let pqp = linear_pqp(p);
             let cluster = Cluster::homogeneous(ClusterType::M510, 4, 10.0);
-            let d = place(&pqp, &cluster, ChainingMode::Auto);
+            let d = place_with(&pqp, &seal(&pqp), &cluster, ChainingMode::Auto);
             for e in &d.edge_exchange {
                 let f = e.local_fraction();
                 assert!((0.0..=1.0).contains(&f), "local fraction {f} out of range");
@@ -417,7 +415,7 @@ mod tests {
     fn instance_counts_sum_to_parallelism() {
         let pqp = linear_pqp(10);
         let cluster = Cluster::homogeneous(ClusterType::M510, 3, 10.0);
-        let d = place(&pqp, &cluster, ChainingMode::Never);
+        let d = place_with(&pqp, &seal(&pqp), &cluster, ChainingMode::Never);
         let counts = d.instance_counts(OpId(2));
         let total: u32 = counts.iter().map(|&(_, c)| c).sum();
         assert_eq!(total, 10);
@@ -427,7 +425,7 @@ mod tests {
     fn hash_edge_never_chains() {
         let pqp = linear_pqp(32);
         let cluster = Cluster::homogeneous(ClusterType::M510, 1, 10.0);
-        let d = place(&pqp, &cluster, ChainingMode::Always);
+        let d = place_with(&pqp, &seal(&pqp), &cluster, ChainingMode::Always);
         // edge 1 (filter -> keyed agg) is hash partitioned
         assert!(!d.edge_exchange[1].is_chained());
     }
@@ -436,7 +434,7 @@ mod tests {
     fn single_node_cluster_is_fully_local() {
         let pqp = linear_pqp(4);
         let cluster = Cluster::homogeneous(ClusterType::M510, 1, 10.0);
-        let d = place(&pqp, &cluster, ChainingMode::Never);
+        let d = place_with(&pqp, &seal(&pqp), &cluster, ChainingMode::Never);
         for e in &d.edge_exchange {
             assert!((e.local_fraction() - 1.0).abs() < 1e-12);
         }

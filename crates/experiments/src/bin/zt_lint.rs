@@ -87,8 +87,8 @@ fn reference_cluster() -> Cluster {
 
 /// Run the interval-bounds pass over one deployment: ZT5xx lints plus the
 /// rendered per-operator interval table.
-fn bounds_section(name: &str, pqp: &ParallelQueryPlan, cluster: &Cluster) -> Section {
-    let report = zt_core::bounds::analyze(pqp, cluster, &BoundsConfig::default());
+fn bounds_section(name: &str, pqp: &ParallelQueryPlan, ir: &PlanIr, cluster: &Cluster) -> Section {
+    let report = zt_core::bounds::analyze_with(pqp, ir, cluster, &BoundsConfig::default());
     Section {
         heading: format!("bounds `{name}` (reference 4-node m510 cluster)"),
         report: Report::new(lint_bounds_report(&report)),
@@ -119,6 +119,30 @@ fn dataflow_section(name: &str, pqp: &ParallelQueryPlan, ir: &PlanIr) -> Section
     }
 }
 
+/// The bounds and dataflow sections of one deployment, sealed once for
+/// both against the reference cluster. A deployment that does not
+/// validate gets neither: its ordinary lint section already reports why.
+fn deployment_sections(
+    name: &str,
+    pqp: &ParallelQueryPlan,
+    bounds: bool,
+    dataflow: bool,
+    sections: &mut Vec<Section>,
+) {
+    if !(bounds || dataflow) {
+        return;
+    }
+    let Ok(ir) = pqp.validate() else {
+        return;
+    };
+    if bounds {
+        sections.push(bounds_section(name, pqp, &ir, &reference_cluster()));
+    }
+    if dataflow {
+        sections.push(dataflow_section(name, pqp, &ir));
+    }
+}
+
 fn lint_benchmarks(bounds: bool, dataflow: bool, sections: &mut Vec<Section>) {
     let cluster = reference_cluster();
     let queries: [(&str, LogicalPlan); 3] = [
@@ -130,14 +154,7 @@ fn lint_benchmarks(bounds: bool, dataflow: bool, sections: &mut Vec<Section>) {
         let pqp = ParallelQueryPlan::new(plan);
         let report = Report::new(lint_pqp(&pqp, Some(&cluster)));
         sections.push(section(format!("benchmark query `{name}`"), report));
-        if bounds {
-            sections.push(bounds_section(name, &pqp, &cluster));
-        }
-        if dataflow {
-            if let Ok(ir) = pqp.plan.validate() {
-                sections.push(dataflow_section(name, &pqp, &ir));
-            }
-        }
+        deployment_sections(name, &pqp, bounds, dataflow, sections);
     }
 }
 
@@ -183,14 +200,7 @@ fn lint_plan_file(
             format!("parallel query plan `{path}`"),
             Report::new(lint_pqp(&pqp, None)),
         ));
-        if bounds && pqp.validate().is_ok() {
-            sections.push(bounds_section(path, &pqp, &reference_cluster()));
-        }
-        if dataflow && pqp.validate().is_ok() {
-            if let Ok(ir) = pqp.plan.validate() {
-                sections.push(dataflow_section(path, &pqp, &ir));
-            }
-        }
+        deployment_sections(path, &pqp, bounds, dataflow, sections);
         return Ok(());
     }
     let plan = serde_json::from_str::<LogicalPlan>(&json)
@@ -247,14 +257,7 @@ fn lint_results_dir(
                 format!("parallel query plan `{path}`"),
                 Report::new(lint_pqp(&pqp, None)),
             ));
-            if bounds && pqp.validate().is_ok() {
-                sections.push(bounds_section(&path, &pqp, &reference_cluster()));
-            }
-            if dataflow && pqp.validate().is_ok() {
-                if let Ok(ir) = pqp.plan.validate() {
-                    sections.push(dataflow_section(&path, &pqp, &ir));
-                }
-            }
+            deployment_sections(&path, &pqp, bounds, dataflow, sections);
         } else if let Ok(plan) = serde_json::from_str::<LogicalPlan>(&json) {
             sections.push(section(
                 format!("logical plan `{path}`"),
@@ -345,7 +348,7 @@ fn fuzz_smoke(n: usize, sections: &mut Vec<Section>) -> usize {
         }
         let pqp = ParallelQueryPlan::new(plan);
         let diags = lint_pqp(&pqp, Some(&cluster));
-        let report = zt_core::bounds::analyze(&pqp, &cluster, &BoundsConfig::default());
+        let report = zt_core::bounds::analyze_with(&pqp, &ir, &cluster, &BoundsConfig::default());
         let bounds_diags = lint_bounds_report(&report);
         // Dataflow cross-check: the deployed rate facts must be a
         // fixpoint, sit inside the plan-level (parallelism-hulled)

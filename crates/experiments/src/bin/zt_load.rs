@@ -216,9 +216,9 @@ fn phase_report(
         failures,
         elapsed_ms: elapsed_s * 1e3,
         qps: latencies.len() as f64 / elapsed_s.max(1e-9),
-        p50_ms: summary.percentile(0.50),
-        p95_ms: summary.percentile(0.95),
-        p99_ms: summary.percentile(0.99),
+        p50_ms: summary.percentile(50.0),
+        p95_ms: summary.percentile(95.0),
+        p99_ms: summary.percentile(99.0),
         mean_ms: summary.mean(),
         cache_hits: cache_after.0 - cache_before.0,
         cache_misses: cache_after.1 - cache_before.1,
@@ -354,5 +354,42 @@ fn main() {
     if total_failures > 0 {
         eprintln!("zt-load: {total_failures} request(s) failed");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Percentiles are on the 0–100 scale `Summary::percentile` takes:
+    /// every report is ordered `min ≤ p50 ≤ p95 ≤ p99 ≤ max`, its mean lies
+    /// in `[min, max]`, and its p50 is the sample median.
+    #[test]
+    fn phase_report_percentiles_are_ordered_and_on_the_right_scale() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let heavy_tail: Vec<f64> = (0..2000)
+            .map(|_| rng.gen_range(0.1..1.0f64).powi(4) * 40.0)
+            .collect();
+        let descending: Vec<f64> = (1..=1000).rev().map(f64::from).collect();
+        for latencies in [vec![2.5], vec![1.0; 7], descending, heavy_tail] {
+            let r = phase_report("t", &latencies, 1.0, 0, (0, 0), (0, 0));
+            let min = latencies.iter().copied().fold(f64::INFINITY, f64::min);
+            let max = latencies.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            let ordered = [min, r.p50_ms, r.p95_ms, r.p99_ms, max];
+            assert!(
+                ordered.windows(2).all(|w| w[0] <= w[1]),
+                "min/p50/p95/p99/max out of order: {ordered:?}"
+            );
+            assert!(min <= r.mean_ms && r.mean_ms <= max, "mean {}", r.mean_ms);
+            let mut sorted = latencies.clone();
+            sorted.sort_by(f64::total_cmp);
+            let n = sorted.len();
+            let median = (sorted[(n - 1) / 2] + sorted[n / 2]) / 2.0;
+            assert!(
+                (r.p50_ms - median).abs() <= 1e-12 * median,
+                "p50 {} is not the median {median}",
+                r.p50_ms
+            );
+        }
     }
 }

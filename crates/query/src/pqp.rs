@@ -9,7 +9,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::params::ParallelismCategory;
-use crate::plan::{LogicalPlan, PlanError};
+use crate::plan::{LogicalPlan, PlanError, PlanIr};
 use crate::types::OpId;
 
 /// Strategy for distributing tuples from an upstream instance to the
@@ -222,9 +222,10 @@ impl ParallelQueryPlan {
         ParallelismCategory::from_avg(self.avg_parallelism())
     }
 
-    /// Validate the underlying plan plus the parallel configuration.
-    pub fn validate(&self) -> Result<(), PqpError> {
-        self.plan.validate()?;
+    /// Validate the underlying plan plus the parallel configuration; on
+    /// success returns the plan's sealed [`PlanIr`].
+    pub fn validate(&self) -> Result<PlanIr, PqpError> {
+        let ir = self.plan.validate()?;
         for op in self.plan.ops() {
             if self.parallelism[op.id.idx()] == 0 {
                 return Err(PqpError::ZeroParallelism(op.id));
@@ -248,7 +249,7 @@ impl ParallelQueryPlan {
                 return Err(PqpError::MissingHash(d));
             }
         }
-        Ok(())
+        Ok(ir)
     }
 }
 

@@ -19,7 +19,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use zerotune::core::bounds::{analyze, BoundsConfig, BoundsReport};
+use zerotune::core::bounds::{analyze_with, BoundsConfig, BoundsReport};
 use zerotune::core::datagen::{generate_dataset_with, GenPlan};
 use zerotune::core::dataset::GenConfig;
 use zerotune::core::model::{ModelConfig, ZeroTuneModel};
@@ -118,7 +118,8 @@ fn cluster_of(kind: u8, workers: usize) -> Cluster {
 /// the report (headline and per-operator), with the shared endpoints
 /// matching bitwise.
 fn assert_brackets_solver(pqp: &ParallelQueryPlan, cluster: &Cluster) -> Result<(), TestCaseError> {
-    let report = analyze(pqp, cluster, &BoundsConfig::default());
+    let ir = pqp.plan.validate().expect("generated plans seal");
+    let report = analyze_with(pqp, &ir, cluster, &BoundsConfig::default());
     let m = simulate_core(pqp, cluster, &SimConfig::noiseless());
     prop_assert!(report.is_wellformed(), "malformed report: {report:?}");
 
@@ -265,7 +266,8 @@ proptest! {
         let n = plan.num_ops();
         let pqp = ParallelQueryPlan::with_parallelism(plan, vec![p; n]);
         let cluster = cluster_of(0, 2);
-        let report = analyze(&pqp, &cluster, &BoundsConfig::default());
+        let ir = pqp.plan.validate().expect("linear plans seal");
+        let report = analyze_with(&pqp, &ir, &cluster, &BoundsConfig::default());
         prop_assert!(report.is_wellformed());
         // Low rates on m510 hardware are always feasible; this guards the
         // property's precondition rather than filtering cases.
@@ -443,8 +445,9 @@ fn feasibility_verdicts_match_the_solver() {
         benchmarks::spike_detection(80_000_000.0),
         vec![1, 1, 1, 1],
     );
-    let r_ok: BoundsReport = analyze(&feasible, &cluster, &BoundsConfig::default());
-    let r_bad = analyze(&collapsing, &cluster, &BoundsConfig::default());
+    let ir = feasible.plan.validate().expect("benchmark plan seals");
+    let r_ok: BoundsReport = analyze_with(&feasible, &ir, &cluster, &BoundsConfig::default());
+    let r_bad = analyze_with(&collapsing, &ir, &cluster, &BoundsConfig::default());
     let m_ok = simulate_core(&feasible, &cluster, &SimConfig::noiseless());
     let m_bad = simulate_core(&collapsing, &cluster, &SimConfig::noiseless());
     assert!(r_ok.definitely_feasible());

@@ -24,7 +24,7 @@ use zerotune::core::dataflow::{
 };
 use zerotune::core::model::{ModelConfig, ZeroTuneModel};
 use zerotune::core::optimizer::{tune, OptimizerConfig, SearchSpace};
-use zerotune::dspsim::analytical::{simulate, SimConfig};
+use zerotune::dspsim::analytical::{propagate_with, simulate, SimConfig};
 use zerotune::dspsim::cluster::{Cluster, ClusterType};
 use zerotune::dspsim::engine::{run, EngineConfig};
 use zerotune::query::operators::SinkOp;
@@ -170,6 +170,50 @@ proptest! {
             );
         }
     }
+}
+
+/// Deployed rate facts come from the analytical model's own transfer, so
+/// every operator's fact is the point `[r, r]` with `r` bitwise the
+/// solver's unthrottled output rate. Deterministic rather than sampled:
+/// 200 plans of every structure class, each at degree 1, 2, 3 and 7.
+#[test]
+fn deployed_rate_facts_equal_the_solver_rates_bit_for_bit() {
+    let mut deployments = 0usize;
+    let mut mismatched_deployments = 0usize;
+    let mut mismatched_ops = Vec::new();
+    for structure_idx in 0u8..8 {
+        for seed in 0..200u64 {
+            let plan = generated_plan(structure_idx, seed);
+            let ir = plan.validate().expect("generated plans seal");
+            let n = plan.num_ops();
+            for degree in [1u32, 2, 3, 7] {
+                let pqp = ParallelQueryPlan::with_parallelism(plan.clone(), vec![degree; n]);
+                let facts = solve(&RateAnalysis { pqp: Some(&pqp) }, &plan, &ir);
+                let solver = propagate_with(&pqp, &ir, 1.0);
+                deployments += 1;
+                let before = mismatched_ops.len();
+                for (op, (fact, &rate)) in facts.per_op.iter().zip(&solver.output).enumerate() {
+                    let (lo, hi) = (fact.rate.lo.to_bits(), fact.rate.hi.to_bits());
+                    if lo != rate.to_bits() || hi != rate.to_bits() {
+                        mismatched_ops.push(format!(
+                            "structure {structure_idx} seed {seed} degree {degree} op {op} \
+                             ({}): fact {:?} vs solver {rate}",
+                            plan.ops()[op].kind.label(),
+                            fact.rate
+                        ));
+                    }
+                }
+                mismatched_deployments += usize::from(mismatched_ops.len() > before);
+            }
+        }
+    }
+    assert_eq!(deployments, 6_400);
+    assert!(
+        mismatched_ops.is_empty(),
+        "{mismatched_deployments} of {deployments} deployments ({} operators) differ; first: {}",
+        mismatched_ops.len(),
+        mismatched_ops[0]
+    );
 }
 
 // --- simulator agreement -------------------------------------------------

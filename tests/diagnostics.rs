@@ -696,7 +696,13 @@ proptest! {
 
 fn bounds_report(rate: f64, p: u32) -> zerotune::core::BoundsReport {
     let pqp = ParallelQueryPlan::with_parallelism(spike_detection(rate), vec![p; 4]);
-    zerotune::core::analyze(&pqp, &cluster(), &zerotune::core::BoundsConfig::default())
+    let ir = pqp.plan.validate().expect("benchmark plan seals");
+    zerotune::core::analyze_with(
+        &pqp,
+        &ir,
+        &cluster(),
+        &zerotune::core::BoundsConfig::default(),
+    )
 }
 
 #[test]

@@ -10,7 +10,7 @@ use zerotune::core::optisample::EnumerationStrategy;
 use zerotune::core::qerror::q_error;
 use zerotune::dspsim::analytical::{simulate, SimConfig};
 use zerotune::dspsim::cluster::{Cluster, ClusterType};
-use zerotune::dspsim::placement::{place, ChainingMode};
+use zerotune::dspsim::placement::{place_with, ChainingMode};
 use zerotune::query::{ParallelQueryPlan, QueryGenerator, QueryStructure};
 
 fn structure_from_index(i: u8) -> QueryStructure {
@@ -123,8 +123,9 @@ proptest! {
         let pqp = ParallelQueryPlan::with_parallelism(plan, vec![p; n]);
         let cluster = Cluster::homogeneous(ClusterType::M510, workers, 10.0);
 
-        let never = place(&pqp, &cluster, ChainingMode::Never);
-        let always = place(&pqp, &cluster, ChainingMode::Always);
+        let ir = pqp.plan.validate().expect("generated plans seal");
+        let never = place_with(&pqp, &ir, &cluster, ChainingMode::Never);
+        let always = place_with(&pqp, &ir, &cluster, ChainingMode::Always);
         prop_assert!(always.total_instances() <= never.total_instances());
         // groups partition the operators
         let total_ops: usize = always.groups.iter().map(|g| g.ops.len()).sum();

@@ -158,8 +158,10 @@ fn multi_sink_plan_runs_end_to_end() {
     );
 
     // 2. Bounds: well-formed report with one latency bracket per sink.
-    let report = zerotune::core::bounds::analyze(
+    let ir = pqp.plan.validate().expect("multi-sink plan seals");
+    let report = zerotune::core::bounds::analyze_with(
         &pqp,
+        &ir,
         &cluster,
         &zerotune::core::bounds::BoundsConfig::default(),
     );

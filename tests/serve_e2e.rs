@@ -16,9 +16,9 @@
 //!   mix;
 //! * **graceful shutdown** — accepted connections are drained, not
 //!   dropped;
-//! * **structured failure** — malformed, oversized and misrouted
-//!   requests get machine-readable 4xx bodies (`ZT109` for wire
-//!   fingerprint tampering).
+//! * **structured failure** — malformed, oversized, deeply nested and
+//!   misrouted requests get machine-readable 4xx bodies (`ZT109` for
+//!   wire fingerprint tampering), and the daemon keeps answering.
 //!
 //! Telemetry is process-global, so every test serializes behind one
 //! mutex and the counter test resets state at quiescent points.
@@ -393,6 +393,24 @@ fn malformed_oversized_and_misrouted_requests_fail_structurally() {
         (resp.status, error_code(&resp.body).as_str()),
         (400, "bad_parallelism")
     );
+    handle.shutdown();
+}
+
+/// A body nested far past the JSON parser's depth limit (200 KB of `[`)
+/// is a structured 400, not a stack overflow that takes the daemon down:
+/// `/healthz` still answers afterwards.
+#[test]
+fn deeply_nested_json_is_rejected_and_the_daemon_survives() {
+    let _g = lock();
+    let handle = boot(ephemeral());
+    let deep = "[".repeat(200 * 1024);
+    let resp = http_request(handle.addr(), "POST", "/predict", Some(&deep)).expect("rt");
+    assert_eq!(
+        (resp.status, error_code(&resp.body).as_str()),
+        (400, "bad_json")
+    );
+    let resp = http_request(handle.addr(), "GET", "/healthz", None).expect("rt");
+    assert_eq!(resp.status, 200);
     handle.shutdown();
 }
 
